@@ -40,7 +40,7 @@ from repro.exceptions import RoutingError
 from repro.network.membership import SwimConfig
 from repro.network.resilience import (LocalDetourPolicy,
                                       SelfHealingRouteTable)
-from repro.service.engine import _STEP_OF_ACTION, RouteQueryEngine
+from repro.service.engine import RouteQueryEngine
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import RouteQueryServer, ServerConfig
 
@@ -134,23 +134,23 @@ class ClusterQueryEngine(RouteQueryEngine):
                               else LocalDetourPolicy(table))
         self.dead_packed: FrozenSet[int] = frozenset()
 
-    def resolve(self, source, destination, directed, want_path):
-        """Answer one query, detouring around ``dead_packed`` if set."""
+    def answer(self, source, destination, source_digits, destination_digits,
+               directed, want_path):
+        """Answer one packed query, detouring around ``dead_packed`` if set."""
         table = self._table_for(directed)
         dead = self.dead_packed
         if table is None or not dead:
-            return super().resolve(source, destination, directed, want_path)
-        self.registry.inc("engine.table_lookups")
-        space = table.space
-        px = space.pack_checked(source)
-        py = space.pack_checked(destination)
-        if py in dead:
+            return super().answer(source, destination, source_digits,
+                                  destination_digits, directed, want_path)
+        self._table_lookups.value += 1
+        if destination in dead:
             raise RoutingError(
-                f"destination {destination!r} is on a confirmed-dead node")
-        if px in dead:
+                f"destination {tuple(destination_digits)!r} is on a "
+                "confirmed-dead node")
+        if source in dead:
             raise RoutingError(
-                f"source {source!r} is on a confirmed-dead node")
-        return self._walk_with_detours(table, px, py, want_path)
+                f"source {tuple(source_digits)!r} is on a confirmed-dead node")
+        return self._walk_with_detours(table, source, destination, want_path)
 
     def _walk_with_detours(self, table, px: int, py: int, want_path: bool):
         space = table.space
@@ -193,9 +193,9 @@ class ClusterQueryEngine(RouteQueryEngine):
             self.registry.inc("cluster.detoured_queries")
             self.registry.inc("cluster.detour_hops", detours)
         if not want_path:
-            return len(steps), None
-        step_of = _STEP_OF_ACTION[table.d]
-        return len(steps), [step_of[action] for action in steps]
+            return len(steps), b""
+        step_bytes = self._step_bytes
+        return len(steps), b"".join(step_bytes[action] for action in steps)
 
 
 class _ClusterNode:

@@ -37,13 +37,13 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arraybfs import table_rows
 from repro.core.packed import PackedSpace
-from repro.core.parallel import ACTION_AT_DESTINATION, ACTION_UNREACHABLE
+from repro.core.tables import RouteRows
 from repro.core.word import validate_parameters
-from repro.exceptions import InvalidParameterError, RoutingError
+from repro.exceptions import InvalidParameterError
 
 #: File magic: "de Bruijn Route Shard", format version 1 (legacy,
 #: still loadable; no checksums).
@@ -67,7 +67,7 @@ DEFAULT_SHARD_TARGET_BYTES = 8 << 20
 DEFAULT_BYTE_BUDGET = 512 << 20
 
 
-class RouteShard:
+class RouteShard(RouteRows):
     """Routing rows toward packed destinations ``[start, stop)``.
 
     Both buffers are destination-major and row-relative:
@@ -78,6 +78,9 @@ class RouteShard:
 
     __slots__ = ("d", "k", "directed", "order", "start", "stop", "rows",
                  "distances", "actions", "nbytes", "_mmap", "_file")
+
+    _KIND = "shard"
+    _CYCLE = "route shard contains a cycle"
 
     def __init__(self, d: int, k: int, directed: bool, start: int, stop: int,
                  distances, actions, _mmap=None, _file=None) -> None:
@@ -121,41 +124,6 @@ class RouteShard:
     def covers(self, destination: int) -> bool:
         """True when this shard holds ``destination``'s rows."""
         return self.start <= destination < self.stop
-
-    def distance_packed(self, source: int, destination: int) -> int:
-        """Shortest-path length for packed endpoints, one byte read."""
-        value = self.distances[(destination - self.start) * self.order + source]
-        if value == 0xFF:
-            raise RoutingError(
-                f"no route from packed {source} to {destination} in the "
-                f"{'directed' if self.directed else 'undirected'} shard"
-            )
-        return value
-
-    def path_actions(self, source: int, destination: int) -> List[int]:
-        """Action bytes of the whole route, walked inside this shard.
-
-        Destination-major layout means the walk never leaves the shard:
-        every step reads the same destination row at the new source.
-        """
-        actions = self.actions
-        base = (destination - self.start) * self.order
-        space = PackedSpace(self.d, self.k)
-        out: List[int] = []
-        current = source
-        limit = self.order + 1
-        while True:
-            action = actions[base + current]
-            if action == ACTION_AT_DESTINATION:
-                return out
-            if action == ACTION_UNREACHABLE:
-                raise RoutingError(
-                    f"no route from packed {source} to {destination}"
-                )
-            out.append(action)
-            current = space.apply_action(current, action)
-            if len(out) > limit:  # pragma: no cover - defensive
-                raise RoutingError("route shard contains a cycle")
 
     # -- persistence ----------------------------------------------------
 
@@ -466,10 +434,12 @@ class ShardedRouteTable:
                 return None
         return self.ensure_shard(group)
 
-    def resolve_packed(self, source: int, destination: int,
-                       want_path: bool) -> Optional[Tuple[int, Optional[List[int]]]]:
-        """``(distance, action-bytes-or-None)`` — or ``None`` when cold.
+    def resolve_packed(self, source: int, destination: int, want_path: bool,
+                       emit: Optional[Sequence[bytes]] = None):
+        """``(distance, route-or-None)`` — or ``None`` when cold.
 
+        The route is the list of action bytes, or with ``emit`` the
+        concatenated ``emit[action]`` bytes of :meth:`RouteRows.walk`.
         One shard reference serves both reads, so the answer is
         consistent even when the shard is evicted between them.
         """
@@ -479,7 +449,9 @@ class ShardedRouteTable:
         distance = shard.distance_packed(source, destination)
         if not want_path:
             return distance, None
-        return distance, shard.path_actions(source, destination)
+        if emit is None:
+            return distance, shard.path_actions(source, destination)
+        return distance, shard.walk(source, destination, emit)
 
     def ensure_shard(self, group: int) -> RouteShard:
         """Make shard ``group`` resident now (load or compile) and return it.

@@ -44,7 +44,7 @@ from repro.core.parallel import (
 )
 from repro.core.routing import Path, step_from_action
 from repro.core.word import WordTuple, validate_parameters
-from repro.exceptions import InvalidParameterError, RoutingError
+from repro.exceptions import InvalidParameterError, InvalidWordError, RoutingError
 
 #: File magic: "de Bruijn Route Table", format version 1 (legacy,
 #: still loadable; no checksums).
@@ -67,7 +67,75 @@ _CHECKSUMS = struct.Struct("<II")
 ByteBuffer = Union[bytes, bytearray, memoryview]
 
 
-class CompiledRouteTable:
+#: ``emit`` table for :meth:`RouteRows.walk` that yields the raw action bytes.
+_ACTION_BYTES = tuple(bytes((action,)) for action in range(256))
+
+
+class RouteRows:
+    """The byte reads shared by full tables and shards.
+
+    Both keep destination-major ``actions``/``distances`` rows for the
+    packed destinations ``[start, start + rows)``; a full table is the
+    case ``start == 0``.  Subclasses provide ``d``, ``order``,
+    ``start``, ``directed``, ``actions``, ``distances``, plus ``_KIND``
+    (what the "no route" message calls the rows) and ``_CYCLE`` (the
+    cycle guard's message).
+    """
+
+    __slots__ = ()
+
+    def distance_packed(self, source: int, destination: int) -> int:
+        """Shortest-path length for packed endpoints, one byte read."""
+        value = self.distances[(destination - self.start) * self.order + source]
+        if value == 0xFF:
+            raise RoutingError(
+                f"no route from packed {source} to {destination} in the "
+                f"{'directed' if self.directed else 'undirected'} {self._KIND}"
+            )
+        return value
+
+    def walk(self, source: int, destination: int, emit) -> bytes:
+        """``emit[action]`` for every hop of the route, concatenated.
+
+        ``emit`` maps each shift action (``0..2d-1``) to the bytes that
+        stand for it: the action byte itself for :meth:`path_actions`,
+        the two-byte wire step for the route service's replies.
+        Destination-major layout means the walk reads one row at
+        successive sources.
+        """
+        d = self.d
+        order = self.order
+        high = order // d
+        actions = self.actions
+        base = (destination - self.start) * order
+        out = bytearray()
+        current = source
+        for _ in range(order + 2):
+            action = actions[base + current]
+            # Compiles refuse 2d >= 0xFE, so no shift action is a sentinel.
+            if action < d:
+                current = (current % high) * d + action
+            elif action < 2 * d:
+                current = (action - d) * high + current // d
+            elif action == ACTION_AT_DESTINATION:
+                return bytes(out)
+            elif action == ACTION_UNREACHABLE:
+                raise RoutingError(
+                    f"no route from packed {source} to {destination}"
+                )
+            else:
+                raise InvalidWordError(
+                    f"action byte {action} is not a shift action for d = {d}"
+                )
+            out += emit[action]
+        raise RoutingError(self._CYCLE)  # pragma: no cover - defensive
+
+    def path_actions(self, source: int, destination: int) -> List[int]:
+        """The action bytes of the whole route, walked from the rows."""
+        return list(self.walk(source, destination, _ACTION_BYTES))
+
+
+class CompiledRouteTable(RouteRows):
     """All-pairs next-hop actions and distances for one DG(d, k).
 
     Instances come from :meth:`compile` (sharded BFS) or :meth:`load`
@@ -82,6 +150,11 @@ class CompiledRouteTable:
 
     __slots__ = ("d", "k", "directed", "order", "space", "actions",
                  "distances", "nbytes", "_mmap", "_file")
+
+    #: The full table holds every destination row.
+    start = 0
+    _KIND = "table"
+    _CYCLE = "compiled table contains a cycle"
 
     def __init__(
         self,
@@ -164,16 +237,6 @@ class CompiledRouteTable:
         """The raw next-hop action byte for packed (source, destination)."""
         return self.actions[destination * self.order + source]
 
-    def distance_packed(self, source: int, destination: int) -> int:
-        """Shortest-path length for packed endpoints, one byte read."""
-        value = self.distances[destination * self.order + source]
-        if value == 0xFF:
-            raise RoutingError(
-                f"no route from packed {source} to {destination} in the "
-                f"{'directed' if self.directed else 'undirected'} table"
-            )
-        return value
-
     def next_hop_packed(self, source: int, destination: int) -> int:
         """The packed neighbor one optimal hop toward ``destination``."""
         action = self.actions[destination * self.order + source]
@@ -193,27 +256,6 @@ class CompiledRouteTable:
         """Shortest-path length between word tuples (packs, then O(1))."""
         space = self.space
         return self.distance_packed(space.pack_checked(x), space.pack_checked(y))
-
-    def path_actions(self, source: int, destination: int) -> List[int]:
-        """The action bytes of the whole route, walked from the table."""
-        actions = self.actions
-        base = destination * self.order
-        space = self.space
-        out: List[int] = []
-        current = source
-        limit = self.order + 1
-        while True:
-            action = actions[base + current]
-            if action == ACTION_AT_DESTINATION:
-                return out
-            if action == ACTION_UNREACHABLE:
-                raise RoutingError(
-                    f"no route from packed {source} to {destination}"
-                )
-            out.append(action)
-            current = space.apply_action(current, action)
-            if len(out) > limit:  # pragma: no cover - defensive
-                raise RoutingError("compiled table contains a cycle")
 
     def path(self, x: WordTuple, y: WordTuple) -> Path:
         """A shortest routing path (list of steps) from ``x`` to ``y``."""

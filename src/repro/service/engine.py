@@ -24,6 +24,15 @@ orientations and picks the cheapest tier that can answer:
    the undirected distance is symmetric), directed groups hoist the
    :class:`~repro.core.packed.PackedSpace` affix machinery.
 
+Every tier answers through :meth:`RouteQueryEngine.answer` (and
+:meth:`~RouteQueryEngine.answer_distances` for coalesced groups) on
+packed words, returning the reply's step bytes ready for the wire: the
+table and shard tiers emit them straight from the action bytes they
+walk, the planner and batch tiers read digit tuples off the words' raw
+digit bytes.  :meth:`~RouteQueryEngine.resolve` and
+:meth:`~RouteQueryEngine.resolve_distances` are the tuple-word views
+of the same code for library callers.
+
 Per-tier counters land in the shared metrics registry so the ``STATS``
 frame shows where traffic is actually being served.
 """
@@ -35,12 +44,17 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.batch import undirected_distances_many
 from repro.core.packed import PackedSpace
-from repro.core.routing import Path, RouteCache, route
+from repro.core.routing import Path, RouteCache, route, step_from_action
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import WordTuple, validate_parameters
 from repro.exceptions import ServiceError
+from repro.network.message import decode_path, encode_path
 from repro.service.metrics import MetricsRegistry
+
+#: A word's digits as the engine's packed entry points take them: the
+#: wire's one-byte-per-digit ``bytes`` or a digit tuple.
+Digits = Sequence[int]
 
 
 class RouteQueryEngine:
@@ -76,6 +90,17 @@ class RouteQueryEngine:
         self.table: Optional[CompiledRouteTable] = None
         self.shards: Optional[ShardedRouteTable] = None
         self.space = PackedSpace(d, k)
+        #: Action byte → its two-byte wire step (see ``encode_path``).
+        self._step_bytes = tuple(
+            encode_path([step_from_action(action, d)]) for action in range(2 * d)
+        )
+        counter = self.registry.lazy_counter
+        self._table_lookups = counter("engine.table_lookups")
+        self._shard_hits = counter("engine.shard_hits")
+        self._shard_fallbacks = counter("engine.shard_fallbacks")
+        self._planned = counter("engine.planned")
+        self._batched = counter("engine.batched")
+        self._batch_flushes = counter("engine.batch_flushes")
         if table is not None:
             self.attach_table(table)
         if shards is not None:
@@ -122,6 +147,52 @@ class RouteQueryEngine:
 
     # -- single-query tiers ---------------------------------------------
 
+    def answer(
+        self,
+        source: int,
+        destination: int,
+        source_digits: Digits,
+        destination_digits: Digits,
+        directed: bool,
+        want_path: bool,
+    ) -> Tuple[int, bytes]:
+        """Answer one query on packed words: ``(distance, step bytes)``.
+
+        ``source``/``destination`` are packed and already validated;
+        ``*_digits`` are the same words digit by digit, read only by the
+        planner.  The step bytes are the ``REPLY`` path field (empty for
+        a distance-only query).  Raises
+        :class:`~repro.exceptions.DeBruijnError` subclasses when no
+        route exists; the server maps those to ``ERROR`` frames.
+        """
+        table = self.table
+        if table is not None and table.directed == directed:
+            self._table_lookups.value += 1
+            distance = table.distance_packed(source, destination)
+            if not want_path:
+                return distance, b""
+            return distance, table.walk(source, destination, self._step_bytes)
+        shards = self.shards
+        if shards is not None and shards.directed == directed:
+            answer = shards.resolve_packed(
+                source, destination, want_path, self._step_bytes
+            )
+            if answer is not None:
+                self._shard_hits.value += 1
+                distance, steps = answer
+                return distance, (steps if want_path else b"")
+            self._shard_fallbacks.value += 1
+        self._planned.value += 1
+        path = route(
+            tuple(source_digits),
+            tuple(destination_digits),
+            self.d,
+            directed=directed,
+            use_wildcards=self.use_wildcards,
+            cache=self.cache,
+        )
+        return len(path), (encode_path(path) if want_path else b"")
+
     def resolve(
         self,
         source: WordTuple,
@@ -129,52 +200,63 @@ class RouteQueryEngine:
         directed: bool,
         want_path: bool,
     ) -> Tuple[int, Optional[Path]]:
-        """Answer one query: ``(distance, path-or-None)``.
+        """Answer one query on word tuples: ``(distance, path-or-None)``.
 
-        Raises :class:`~repro.exceptions.DeBruijnError` subclasses on
-        invalid words; the server maps those to ``ERROR`` frames.
+        Validates and packs both words, then :meth:`answer`; raises
+        :class:`~repro.exceptions.DeBruijnError` subclasses on invalid
+        words or a missing route.
+        """
+        space = self.space
+        distance, steps = self.answer(
+            space.pack_checked(source),
+            space.pack_checked(destination),
+            source,
+            destination,
+            directed,
+            want_path,
+        )
+        return distance, (decode_path(steps) if want_path else None)
+
+    # -- batch tier ------------------------------------------------------
+
+    def answer_distances(
+        self,
+        destination: int,
+        destination_digits: Digits,
+        sources: Sequence[int],
+        source_digits: Sequence[Digits],
+        directed: bool,
+    ) -> List[int]:
+        """Distances from each packed source to one packed ``destination``.
+
+        The micro-batcher's flush path (``source_digits[i]`` spells
+        ``sources[i]``).  With a matching table it is a row of byte
+        reads; otherwise one shared structure per flush (suffix
+        automaton / packed space) replaces per-query planning.
         """
         table = self._table_for(directed)
         if table is not None:
-            self.registry.inc("engine.table_lookups")
-            space = table.space
-            px = space.pack_checked(source)
-            py = space.pack_checked(destination)
-            distance = table.distance_packed(px, py)
-            if not want_path:
-                return distance, None
-            path = [
-                _STEP_OF_ACTION[table.d][action]
-                for action in table.path_actions(px, py)
-            ]
-            return distance, path
+            self._table_lookups.value += len(sources)
+            return [table.distance_packed(px, destination) for px in sources]
         shards = self._shards_for(directed)
         if shards is not None:
-            space = shards.space
-            px = space.pack_checked(source)
-            py = space.pack_checked(destination)
-            answer = shards.resolve_packed(px, py, want_path)
-            if answer is not None:
-                self.registry.inc("engine.shard_hits")
-                distance, actions = answer
-                if not want_path:
-                    return distance, None
-                return distance, [
-                    _STEP_OF_ACTION[shards.d][action] for action in actions
-                ]
-            self.registry.inc("engine.shard_fallbacks")
-        self.registry.inc("engine.planned")
-        path = route(
-            source,
-            destination,
-            self.d,
-            directed=directed,
-            use_wildcards=self.use_wildcards,
-            cache=self.cache,
+            # One reference covers the whole flush: eviction mid-batch
+            # cannot split the answers across two shard generations.
+            shard = shards.shard_for(destination)
+            if shard is not None:
+                self._shard_hits.value += len(sources)
+                return [shard.distance_packed(px, destination) for px in sources]
+            self._shard_fallbacks.value += len(sources)
+        self._batched.value += len(sources)
+        self._batch_flushes.value += 1
+        if directed:
+            space = self.space
+            return [space.directed_distance(px, destination) for px in sources]
+        # Undirected distance is symmetric (Theorem 2), so one automaton
+        # of the shared destination answers the whole group.
+        return undirected_distances_many(
+            tuple(destination_digits), [tuple(digits) for digits in source_digits]
         )
-        return len(path), (path if want_path else None)
-
-    # -- batch tier ------------------------------------------------------
 
     def resolve_distances(
         self,
@@ -182,46 +264,18 @@ class RouteQueryEngine:
         sources: Sequence[WordTuple],
         directed: bool,
     ) -> List[int]:
-        """Distances from each source to one shared ``destination``.
+        """Distances from each source tuple to one shared ``destination``.
 
-        The micro-batcher's flush path.  With a matching table it is a
-        row of byte reads; otherwise one shared structure per flush
-        (suffix automaton / packed space) replaces per-query planning.
+        Validates and packs every word, then :meth:`answer_distances`.
         """
-        table = self._table_for(directed)
-        if table is not None:
-            self.registry.inc("engine.table_lookups", len(sources))
-            space = table.space
-            py = space.pack_checked(destination)
-            return [
-                table.distance_packed(space.pack_checked(s), py) for s in sources
-            ]
-        shards = self._shards_for(directed)
-        if shards is not None:
-            space = shards.space
-            py = space.pack_checked(destination)
-            # One reference covers the whole flush: eviction mid-batch
-            # cannot split the answers across two shard generations.
-            shard = shards.shard_for(py)
-            if shard is not None:
-                self.registry.inc("engine.shard_hits", len(sources))
-                return [
-                    shard.distance_packed(space.pack_checked(s), py)
-                    for s in sources
-                ]
-            self.registry.inc("engine.shard_fallbacks", len(sources))
-        self.registry.inc("engine.batched", len(sources))
-        self.registry.inc("engine.batch_flushes")
-        if directed:
-            space = self.space
-            py = space.pack_checked(destination)
-            return [
-                space.directed_distance(space.pack_checked(s), py)
-                for s in sources
-            ]
-        # Undirected distance is symmetric (Theorem 2), so one automaton
-        # of the shared destination answers the whole group.
-        return undirected_distances_many(destination, sources)
+        space = self.space
+        return self.answer_distances(
+            space.pack_checked(destination),
+            destination,
+            [space.pack_checked(source) for source in sources],
+            sources,
+            directed,
+        )
 
     # -- accounting ------------------------------------------------------
 
@@ -316,21 +370,3 @@ class EngineSpec:
 def build_engine(spec: EngineSpec) -> RouteQueryEngine:
     """Module-level :meth:`EngineSpec.build` (a picklable fork target)."""
     return spec.build()
-
-
-def _steps_by_action(d: int):
-    from repro.core.routing import step_from_action
-
-    return [step_from_action(action, d) for action in range(2 * d)]
-
-
-class _ActionSteps(dict):
-    """Lazy per-``d`` memo of action byte → RoutingStep (tiny, immortal)."""
-
-    def __missing__(self, d: int):
-        steps = _steps_by_action(d)
-        self[d] = steps
-        return steps
-
-
-_STEP_OF_ACTION = _ActionSteps()

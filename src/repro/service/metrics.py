@@ -178,18 +178,38 @@ class MetricsRegistry:
     without coordinating construction order.
     """
 
-    __slots__ = ("_counters", "_histograms")
+    __slots__ = ("_counters", "_histograms", "_unlisted")
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: :meth:`lazy_counter` counters that have not moved yet.
+        self._unlisted: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name`` (created on first use)."""
         found = self._counters.get(name)
         if found is None:
-            found = self._counters[name] = Counter(name)
+            found = self._unlisted.pop(name, None) or Counter(name)
+            self._counters[name] = found
         return found
+
+    def lazy_counter(self, name: str) -> Counter:
+        """The counter :meth:`counter` returns for ``name``, held for a hot path.
+
+        Hot paths bump ``.value`` on the returned object directly.  It
+        appears in snapshots once it has moved (or once ``counter(name)``
+        is called), exactly as if it had been created on first use.
+        """
+        found = self._counters.get(name) or self._unlisted.get(name)
+        if found is None:
+            found = self._unlisted[name] = Counter(name)
+        return found
+
+    def _list_moved(self) -> None:
+        unlisted = self._unlisted
+        for name in [name for name, c in unlisted.items() if c.value]:
+            self._counters[name] = unlisted.pop(name)
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None
@@ -240,6 +260,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         """Everything, as plain JSON-serialisable types."""
+        self._list_moved()
         return {
             "counters": {
                 name: counter.value

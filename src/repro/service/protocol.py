@@ -31,6 +31,13 @@ friendly framing.  Frame types:
 The codec is pure and synchronous; :class:`FrameDecoder` is the
 incremental parser both the asyncio server and client feed socket chunks
 through.
+
+The server's query path never builds word tuples: :func:`unpack_query`
+turns each word's digit bytes straight into its packed integer (the
+digit-range check and the packing are one ``int()`` call), and
+:func:`encode_step_reply` frames step bytes the engine produced ready
+for the wire.  :func:`decode_query` and :func:`encode_reply` are the
+tuple/:class:`~repro.core.routing.RoutingStep` views of the same code.
 """
 
 from __future__ import annotations
@@ -39,14 +46,13 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.routing import Path
 from repro.core.word import WordTuple
 from repro.exceptions import ProtocolError, WirePathError
 from repro.network.message import (
     decode_path,
-    decode_word,
     encode_path,
     encode_word,
 )
@@ -56,6 +62,10 @@ _LENGTH = struct.Struct("!I")
 
 #: Frame type byte plus request-id word.
 _HEAD = struct.Struct("!BI")
+
+#: A ``REPLY`` frame's fixed part: length, type, request id, distance,
+#: step count.
+_REPLY_HEAD = struct.Struct("!IBIBB")
 
 #: Hard ceiling on one frame's payload; anything larger is a protocol
 #: violation, not a big request (a DG(255, 255) query is still < 1 KiB).
@@ -70,6 +80,10 @@ class FrameType(enum.IntEnum):
     ERROR = 2  #: per-request failure (see :class:`ErrorCode`)
     STATS = 3  #: metrics-snapshot request
     STATS_REPLY = 4  #: metrics snapshot as UTF-8 JSON
+
+
+#: Frame type byte → :class:`FrameType` (an enum call per frame is slow).
+_FRAME_TYPES = {int(frame_type): frame_type for frame_type in FrameType}
 
 
 class ErrorCode(enum.IntEnum):
@@ -105,8 +119,7 @@ class RouteQuery:
         return len(self.source)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame: type, correlation id, raw body."""
 
     frame_type: FrameType
@@ -153,9 +166,49 @@ def encode_query(
     return encode_frame(FrameType.QUERY, request_id, body)
 
 
-def decode_query(frame: Frame) -> RouteQuery:
-    """Parse a ``QUERY`` frame's body (raises :class:`ProtocolError`)."""
-    body = frame.body
+#: Per base d <= 36: the ``bytes.translate`` table sending digit byte
+#: b < d to its ``int(..., d)`` character and every other byte to "!",
+#: which ``int`` rejects.  Mapping only the digits below d also keeps
+#: ``int``'s "0b"/"0o"/"0x" prefixes out of reach.
+_DIGIT_CHARS = {
+    d: bytes(
+        b"0123456789abcdefghijklmnopqrstuvwxyz"[b] if b < d else ord("!")
+        for b in range(256)
+    )
+    for d in range(2, 37)
+}
+
+
+def _pack_word(digits: bytes, d: int) -> int:
+    """Validate one word's digit bytes against ``d`` and pack them.
+
+    Head digit most significant, as :meth:`repro.core.packed.
+    PackedSpace.pack`.
+    """
+    table = _DIGIT_CHARS.get(d)
+    if table is not None:
+        try:
+            return int(digits.translate(table), d)
+        except ValueError:
+            pass
+    else:
+        value = 0
+        for digit in digits:
+            if digit >= d:
+                break
+            value = value * d + digit
+        else:
+            return value
+    raise ProtocolError(f"word {tuple(digits)!r} has digits outside 0..{d - 1}")
+
+
+def unpack_query(body: bytes) -> Tuple[int, int, int, int, int, bytes, bytes]:
+    """Parse a ``QUERY`` body into packed words (raises :class:`ProtocolError`).
+
+    Returns ``(flags, d, k, source, destination, source_digits,
+    destination_digits)``: both words as packed integers, plus their
+    raw one-byte-per-digit encodings for tiers that need digits.
+    """
     if len(body) < 3:
         raise ProtocolError("query body too short for its header")
     flags, d, k = body[0], body[1], body[2]
@@ -165,30 +218,48 @@ def decode_query(frame: Frame) -> RouteQuery:
         raise ProtocolError(
             f"query body is {len(body)} bytes, expected {3 + 2 * k} for k={k}"
         )
-    source = decode_word(body[3 : 3 + k])
-    destination = decode_word(body[3 + k : 3 + 2 * k])
-    for word in (source, destination):
-        if any(digit >= d for digit in word):
-            raise ProtocolError(f"word {word!r} has digits outside 0..{d - 1}")
+    source = body[3 : 3 + k]
+    destination = body[3 + k :]
+    return (flags, d, k, _pack_word(source, d), _pack_word(destination, d),
+            source, destination)
+
+
+def decode_query(frame: Frame) -> RouteQuery:
+    """Parse a ``QUERY`` frame's body (raises :class:`ProtocolError`)."""
+    flags, d, _, _, _, source, destination = unpack_query(frame.body)
     return RouteQuery(
         request_id=frame.request_id,
         d=d,
-        source=source,
-        destination=destination,
+        source=tuple(source),
+        destination=tuple(destination),
         directed=bool(flags & FLAG_DIRECTED),
         want_path=bool(flags & FLAG_WANT_PATH),
     )
 
 
-def encode_reply(request_id: int, distance: int, path: Optional[Path]) -> bytes:
-    """A ``REPLY`` frame; ``path=None`` answers a distance-only query."""
+def encode_step_reply(request_id: int, distance: int, steps: bytes) -> bytes:
+    """A ``REPLY`` frame around wire-ready ``steps`` (two bytes per step).
+
+    ``steps=b""`` answers a distance-only query.
+    """
     if not 0 <= distance <= 0xFF:
         raise ProtocolError(f"distance {distance} does not fit one byte")
-    steps = encode_path(path) if path else b""
-    if len(steps) // 2 > 0xFF:
-        raise ProtocolError(f"path of {len(steps) // 2} steps does not fit")
-    body = bytes([distance, len(steps) // 2]) + steps
-    return encode_frame(FrameType.REPLY, request_id, body)
+    n_steps = len(steps) >> 1
+    if n_steps > 0xFF:
+        raise ProtocolError(f"path of {n_steps} steps does not fit")
+    try:
+        head = _REPLY_HEAD.pack(7 + len(steps), FrameType.REPLY, request_id,
+                                distance, n_steps)
+    except struct.error:
+        raise ProtocolError(
+            f"request id {request_id} does not fit 32 bits") from None
+    return head + steps
+
+
+def encode_reply(request_id: int, distance: int, path: Optional[Path]) -> bytes:
+    """A ``REPLY`` frame; ``path=None`` answers a distance-only query."""
+    return encode_step_reply(
+        request_id, distance, encode_path(path) if path else b"")
 
 
 def decode_reply(frame: Frame) -> Tuple[int, Path]:
@@ -279,30 +350,35 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Frame]:
         """Append ``data`` and return every frame it completed."""
-        self._buffer.extend(data)
-        return list(self._drain())
-
-    def _drain(self) -> Iterator[Frame]:
         buffer = self._buffer
+        if buffer:
+            buffer.extend(data)
+            data = buffer
+        frames: List[Frame] = []
+        end = len(data)
         offset = 0
         try:
-            while len(buffer) - offset >= _LENGTH.size:
-                (length,) = _LENGTH.unpack_from(buffer, offset)
+            while end - offset >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(data, offset)
                 if length < _HEAD.size or length > MAX_FRAME_BYTES:
                     raise ProtocolError(f"frame length {length} out of range")
-                if len(buffer) - offset - _LENGTH.size < length:
-                    break
                 head_at = offset + _LENGTH.size
-                type_byte, request_id = _HEAD.unpack_from(buffer, head_at)
-                try:
-                    frame_type = FrameType(type_byte)
-                except ValueError as exc:
-                    raise ProtocolError(f"unknown frame type {type_byte}") from exc
-                body = bytes(buffer[head_at + _HEAD.size : head_at + length])
-                offset += _LENGTH.size + length
-                yield Frame(frame_type, request_id, body)
+                stop = head_at + length
+                if stop > end:
+                    break
+                type_byte, request_id = _HEAD.unpack_from(data, head_at)
+                frame_type = _FRAME_TYPES.get(type_byte)
+                if frame_type is None:
+                    raise ProtocolError(f"unknown frame type {type_byte}")
+                body = bytes(data[head_at + _HEAD.size : stop])
+                frames.append(Frame(frame_type, request_id, body))
+                offset = stop
         finally:
-            del buffer[:offset]
+            if data is buffer:
+                del buffer[:offset]
+            elif offset < end:
+                buffer.extend(data[offset:])
+        return frames
 
     @property
     def pending_bytes(self) -> int:

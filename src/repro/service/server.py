@@ -15,13 +15,26 @@ Three production behaviours are structural, not bolted on:
   flushed when a group reaches ``batch_size`` or its ``batch_deadline``
   expires, whichever comes first.  A flush answers the whole group from
   one shared suffix automaton (see
-  :meth:`~repro.service.engine.RouteQueryEngine.resolve_distances`).
+  :meth:`~repro.service.engine.RouteQueryEngine.answer_distances`).
 * **Graceful drain** — :meth:`RouteQueryServer.stop` stops accepting,
   answers still-queued work (or fails it with ``SHUTTING_DOWN`` after
   ``drain_timeout``), flushes the batcher, and only then closes
   connections.  Nothing accepted is silently dropped.
 
-Latency from admission to reply-write is observed into the
+The query path is packed end to end: a ``QUERY`` body becomes packed
+words in the read loop (:func:`~repro.service.protocol.unpack_query`),
+the dispatcher gets ``(distance, step bytes)`` from
+:meth:`~repro.service.engine.RouteQueryEngine.answer`, and the reply is
+those bytes behind an 11-byte header.  Replies are buffered per
+connection and written once per dispatch pass: the dispatcher writes
+every connection it touched when its queue runs empty or after 64
+items, the micro-batcher writes after each group flush, the read loop
+writes the errors and ``STATS`` replies it produced, and a closing
+connection writes what it still holds.  The dispatcher never waits on
+a client's ``drain()``: each read loop drains its own connection before
+reading more, so a peer that stops reading stops only its own queries.
+
+Latency from admission to the reply being buffered is observed into the
 ``server.latency_seconds`` histogram; the whole registry snapshot is
 served over ``STATS`` frames and by ``debruijn-routing serve
 --stats-json``.
@@ -33,25 +46,31 @@ import asyncio
 import logging
 import socket
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from time import monotonic
+from typing import Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import DeBruijnError, ProtocolError
 from repro.service.engine import RouteQueryEngine
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
+    FLAG_DIRECTED,
+    FLAG_WANT_PATH,
     ErrorCode,
     Frame,
     FrameDecoder,
     FrameType,
-    RouteQuery,
-    decode_query,
     encode_error,
-    encode_reply,
     encode_stats_reply,
+    encode_step_reply,
+    unpack_query,
 )
 
 #: Linear bucket edges for the batch-group-size histogram.
 _GROUP_SIZE_BUCKETS = tuple(float(n) for n in range(1, 65))
+
+#: The dispatcher writes out buffered replies at least this often (in
+#: queries), and whenever its queue runs empty.
+_FLUSH_EVERY = 64
 
 logger = logging.getLogger(__name__)
 
@@ -81,35 +100,60 @@ class ServerConfig:
     max_connections: Optional[int] = None
 
 
-@dataclass
-class _Pending:
-    """One admitted query waiting for the dispatcher."""
+class _Pending(NamedTuple):
+    """One admitted query waiting for the dispatcher (words packed)."""
 
-    query: RouteQuery
+    request_id: int
     connection: "_Connection"
     enqueued_at: float
+    source: int
+    destination: int
+    source_digits: bytes
+    destination_digits: bytes
+    directed: bool
+    want_path: bool
 
 
 class _Connection:
-    """Per-connection state: writer, frame decoder, liveness."""
+    """Per-connection state: writer, frame decoder, reply buffer, liveness."""
 
-    __slots__ = ("reader", "writer", "decoder", "closed")
+    __slots__ = ("reader", "writer", "decoder", "closed", "out", "dirty")
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        dirty: set,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.decoder = FrameDecoder()
         self.closed = False
+        #: Frames answered but not yet written to the transport.
+        self.out: List[bytes] = []
+        #: The server's set of connections holding unwritten frames.
+        self.dirty = dirty
 
     def send(self, payload: bytes) -> None:
-        """Buffer ``payload`` on the transport (no-op once closed).
+        """Buffer ``payload`` until the next :meth:`flush` (no-op once closed)."""
+        if self.closed:
+            return
+        if not self.out:
+            self.dirty.add(self)
+        self.out.append(payload)
+
+    def flush(self) -> None:
+        """Write every buffered frame to the transport in one call.
 
         A peer that vanished mid-reply must never propagate out of a
         reply path — the transport error marks the connection closed
         and the read loop reaps it.
         """
+        out = self.out
+        if not out:
+            return
+        payload = b"".join(out)
+        out.clear()
         if self.closed:
             return
         if self.writer.is_closing():
@@ -130,19 +174,20 @@ class MicroBatcher:
     Groups flush on size (``batch_size``) or age (``batch_deadline``),
     whichever happens first; the deadline timer is armed when a group is
     born and cancelled by a size flush.  Flushing is synchronous — one
-    :meth:`~repro.service.engine.RouteQueryEngine.resolve_distances`
+    :meth:`~repro.service.engine.RouteQueryEngine.answer_distances`
     call answers the whole group — so it is safe to run from a
     ``call_later`` callback.
     """
 
     def __init__(self, server: "RouteQueryServer") -> None:
         self._server = server
-        self._groups: Dict[Tuple[Tuple[int, ...], bool], List[_Pending]] = {}
-        self._timers: Dict[Tuple[Tuple[int, ...], bool], asyncio.TimerHandle] = {}
+        #: Groups keyed by (packed destination, directed).
+        self._groups: Dict[Tuple[int, bool], List[_Pending]] = {}
+        self._timers: Dict[Tuple[int, bool], asyncio.TimerHandle] = {}
 
     def add(self, item: _Pending) -> None:
         """Admit one distance-only query into its destination group."""
-        key = (item.query.destination, item.query.directed)
+        key = (item.destination, item.directed)
         group = self._groups.setdefault(key, [])
         group.append(item)
         config = self._server.config
@@ -154,7 +199,7 @@ class MicroBatcher:
                 config.batch_deadline, self._flush, key
             )
 
-    def _flush(self, key: Tuple[Tuple[int, ...], bool]) -> None:
+    def _flush(self, key: Tuple[int, bool]) -> None:
         group = self._groups.pop(key, None)
         timer = self._timers.pop(key, None)
         if timer is not None:
@@ -167,20 +212,23 @@ class MicroBatcher:
             "server.batch_group_size", _GROUP_SIZE_BUCKETS
         ).observe(float(len(group)))
         try:
-            distances = server.engine.resolve_distances(
-                destination, [item.query.source for item in group], directed
+            distances = server.engine.answer_distances(
+                destination,
+                group[0].destination_digits,
+                [item.source for item in group],
+                [item.source_digits for item in group],
+                directed,
             )
         except DeBruijnError as exc:
             for item in group:
                 server._send_error(
-                    item.connection,
-                    item.query.request_id,
-                    ErrorCode.INTERNAL,
-                    repr(exc),
+                    item.connection, item.request_id, ErrorCode.INTERNAL, repr(exc)
                 )
-            return
-        for item, distance in zip(group, distances):
-            server._send_reply(item, distance, None)
+        else:
+            for item, distance in zip(group, distances):
+                server._send_reply(item, distance, b"")
+        # A timer flush has no dispatch pass behind it to write replies.
+        server._write_pending()
 
     def flush_all(self) -> None:
         """Drain every group immediately (shutdown path)."""
@@ -215,7 +263,13 @@ class RouteQueryServer:
         self._queue: Optional["asyncio.Queue[_Pending]"] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._connections: set = set()
+        #: Connections holding buffered, unwritten frames.
+        self._dirty: set = set()
         self._batcher = MicroBatcher(self)
+        counter = self.registry.lazy_counter
+        self._queries = counter("server.queries")
+        self._replies = counter("server.replies")
+        self._latency = None
         self._draining = False
         self._queue_peak = 0
         #: Optional coroutine returning the snapshot served over STATS.
@@ -281,12 +335,13 @@ class RouteQueryServer:
                         break
                     self._send_error(
                         item.connection,
-                        item.query.request_id,
+                        item.request_id,
                         ErrorCode.SHUTTING_DOWN,
                         "server drain timeout",
                     )
                     self._queue.task_done()
         self._batcher.flush_all()
+        self._write_pending()
         for task in list(self._stats_tasks):
             task.cancel()
             try:
@@ -326,7 +381,7 @@ class RouteQueryServer:
             except (ConnectionError, OSError):
                 pass
             return
-        connection = _Connection(reader, writer)
+        connection = _Connection(reader, writer, self._dirty)
         self._connections.add(connection)
         self.registry.inc("server.connections")
         read_timeout = self.config.read_timeout
@@ -373,6 +428,8 @@ class RouteQueryServer:
                         frame_deadline = None
                 for frame in frames:
                     self._handle_frame(connection, frame)
+                # Errors and STATS replies answered right here.
+                connection.flush()
                 await self._flush_writer(connection)
         except (ConnectionError, OSError) as exc:
             # Peer vanished mid-frame or mid-reply: log and close, never
@@ -404,9 +461,11 @@ class RouteQueryServer:
                 f"cannot serve frame type {frame.frame_type!r}",
             )
             return
-        self.registry.inc("server.queries")
+        self._queries.value += 1
         try:
-            query = decode_query(frame)
+            flags, d, k, source, destination, source_digits, destination_digits = (
+                unpack_query(frame.body)
+            )
         except ProtocolError as exc:
             self.registry.inc("server.malformed_frames")
             self._send_error(
@@ -414,13 +473,13 @@ class RouteQueryServer:
             )
             return
         engine = self.engine
-        if query.d != engine.d or query.k != engine.k:
+        if d != engine.d or k != engine.k:
             self._send_error(
                 connection,
                 frame.request_id,
                 ErrorCode.UNSUPPORTED,
                 f"this server routes DG({engine.d},{engine.k}), "
-                f"not DG({query.d},{query.k})",
+                f"not DG({d},{k})",
             )
             return
         if self._draining:
@@ -431,7 +490,17 @@ class RouteQueryServer:
                 "server is draining",
             )
             return
-        item = _Pending(query, connection, asyncio.get_running_loop().time())
+        item = _Pending(
+            frame.request_id,
+            connection,
+            monotonic(),
+            source,
+            destination,
+            source_digits,
+            destination_digits,
+            flags & FLAG_DIRECTED != 0,
+            flags & FLAG_WANT_PATH != 0,
+        )
         assert self._queue is not None
         try:
             self._queue.put_nowait(item)
@@ -463,6 +532,7 @@ class RouteQueryServer:
             self.registry.inc("server.stats_provider_errors")
             snapshot = self.snapshot()
         connection.send(encode_stats_reply(request_id, snapshot))
+        connection.flush()
         await self._flush_writer(connection)
 
     async def _flush_writer(self, connection: _Connection) -> None:
@@ -476,6 +546,7 @@ class RouteQueryServer:
 
     async def _close_connection(self, connection: _Connection) -> None:
         self._connections.discard(connection)
+        connection.flush()
         if connection.closed:
             return
         connection.closed = True
@@ -490,13 +561,11 @@ class RouteQueryServer:
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
         queue = self._queue
-        loop = asyncio.get_running_loop()
-        drain_every = 64
-        since_drain = 0
+        since_flush = 0
         while True:
             item = await queue.get()
             try:
-                self._dispatch_one(item, loop.time())
+                self._dispatch_one(item, monotonic())
             except Exception as exc:  # noqa: BLE001 - dispatcher must survive
                 # One bad query must never kill the dispatcher for
                 # every other connection.
@@ -504,51 +573,70 @@ class RouteQueryServer:
                 logger.exception("dispatch failed: %r", exc)
             finally:
                 queue.task_done()
-            since_drain += 1
-            if queue.empty() or since_drain >= drain_every:
-                since_drain = 0
-                await self._flush_writer(item.connection)
+            since_flush += 1
+            if queue.empty() or since_flush >= _FLUSH_EVERY:
+                since_flush = 0
+                # Write only, never drain: a peer that stops reading is
+                # held back by its own read loop's drain, so it cannot
+                # stall dispatch for every other connection.
+                self._write_pending()
 
     def _dispatch_one(self, item: _Pending, now: float) -> None:
-        query = item.query
-        if now - item.enqueued_at > self.config.request_timeout:
+        (request_id, connection, enqueued_at, source, destination,
+         source_digits, destination_digits, directed, want_path) = item
+        if now - enqueued_at > self.config.request_timeout:
             self.registry.inc("server.timed_out")
             self._send_error(
-                item.connection,
-                query.request_id,
+                connection,
+                request_id,
                 ErrorCode.TIMEOUT,
-                f"queued {now - item.enqueued_at:.3f}s "
+                f"queued {now - enqueued_at:.3f}s "
                 f"> {self.config.request_timeout}s",
             )
             return
         engine = self.engine
-        if not query.want_path and not engine.has_table(query.directed):
+        if not want_path and not engine.has_table(directed):
             # Distance-only and no O(1) table: park it for coalescing.
             self._batcher.add(item)
             return
         try:
-            distance, path = engine.resolve(
-                query.source, query.destination, query.directed, query.want_path
+            distance, steps = engine.answer(
+                source, destination, source_digits, destination_digits,
+                directed, want_path,
             )
         except DeBruijnError as exc:
             self._send_error(
-                item.connection, query.request_id, ErrorCode.INTERNAL, repr(exc)
+                connection, request_id, ErrorCode.INTERNAL, repr(exc)
             )
             return
-        self._send_reply(item, distance, path)
+        self._send_reply(item, distance, steps)
 
     # -- replies ---------------------------------------------------------
 
-    def _send_reply(self, item: _Pending, distance: int, path) -> None:
-        item.connection.send(
-            encode_reply(item.query.request_id, distance, path)
-        )
-        self.registry.inc("server.replies")
-        elapsed = asyncio.get_running_loop().time() - item.enqueued_at
-        self.registry.histogram("server.latency_seconds").observe(elapsed)
+    def _send_reply(self, item: _Pending, distance: int, steps: bytes) -> None:
+        """Buffer one ``REPLY`` and observe its admission-to-reply latency."""
+        item.connection.send(encode_step_reply(item.request_id, distance, steps))
+        self._replies.value += 1
+        elapsed = monotonic() - item.enqueued_at
+        latency = self._latency
+        if latency is None:
+            latency = self._latency = self.registry.histogram(
+                "server.latency_seconds"
+            )
+        latency.observe(elapsed)
         slo_ms = self.config.slo_ms
         if slo_ms is not None and elapsed * 1e3 > slo_ms:
             self.registry.inc("server.slo_violations")
+
+    def _write_pending(self) -> None:
+        """Write out every connection's buffered frames."""
+        dirty = self._dirty
+        if not dirty:
+            return
+        written = list(dirty)
+        dirty.clear()
+        for connection in written:
+            connection.flush()
 
     def _send_error(
         self,

@@ -24,9 +24,11 @@ from repro.core.routing import path_words
 from repro.exceptions import RoutingError, SimulationError
 from repro.network.membership import SwimConfig
 from repro.network.resilience import compile_with_failures
-from repro.service.client import (RobustRouteClient, fetch_stats, query_once,
+from repro.service.client import (RobustRouteClient, RouteServiceClient,
+                                  fetch_stats, query_once,
                                   run_robust_burst)
 from repro.service.engine import RouteQueryEngine
+from repro.service.protocol import ErrorCode
 from repro.service.server import RouteQueryServer, ServerConfig
 
 HOST = "127.0.0.1"
@@ -145,6 +147,54 @@ def test_cluster_engine_detours_around_dead_sites():
                 == base.resolve(space.unpack(px), space.unpack(py), False,
                                 True))
     truth.close()
+    table.close()
+
+
+def test_cluster_detour_serves_through_the_live_server():
+    """Detour mode answers wire queries, not only direct engine calls."""
+    d, k = 2, 5
+    spec = ClusterSpec(d=d, k=k, nodes=4)
+    dead = frozenset(range(*spec.site_ranges()[3]))
+    table = compile_with_failures(d, k, failed=())
+    engine = ClusterQueryEngine(d, k, table)
+    engine.dead_packed = dead
+    space = PackedSpace(d, k)
+    live = [site for site in range(spec.order) if site not in dead]
+    # Pairs whose stale table route steps onto the dead range.
+    crossing = []
+    for px in live:
+        for py in live:
+            x, y = space.unpack(px), space.unpack(py)
+            words = path_words(x, table.path(x, y), d)
+            if any(space.pack(word) in dead for word in words):
+                crossing.append((x, y))
+    assert len(crossing) >= 40
+    pairs = crossing[::max(1, len(crossing) // 40)][:40]
+
+    async def scenario():
+        async with RouteQueryServer(engine, ServerConfig()) as server:
+            async with RouteServiceClient(HOST, server.port, d=d) as client:
+                paths = await client.query_many(pairs, want_path=True)
+                distances = await client.query_many(pairs, want_path=False)
+                stats = await client.stats()
+        return paths, distances, stats["counters"]
+
+    paths, distances, counters = run(scenario())
+    answered = 0
+    for (x, y), reply, bare in zip(pairs, paths.replies, distances.replies):
+        if not reply.ok:
+            # A stale-table deflection can dead-end: a retryable error.
+            assert reply.error_code == ErrorCode.INTERNAL
+            continue
+        answered += 1
+        words = path_words(x, reply.path, d)
+        assert words[-1] == y
+        assert not any(space.pack(word) in dead for word in words)
+        assert reply.distance == len(reply.path)
+        assert bare.ok and bare.distance == reply.distance
+    assert answered >= len(pairs) // 2  # measured 25 of 40 crossing pairs
+    # Every answered query here detoured, once with a path, once without.
+    assert counters["cluster.detoured_queries"] == 2 * answered
     table.close()
 
 

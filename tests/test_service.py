@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import asyncio
+import functools
 import gc
 import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.node import ClusterQueryEngine
 from repro.core.distance import directed_distance, undirected_distance
+from repro.core.packed import PackedSpace
 from repro.core.routing import Direction, RoutingStep, route
+from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import random_word
 from repro.exceptions import ProtocolError, ServiceError
@@ -44,6 +49,7 @@ from repro.service.protocol import (
     encode_reply,
     encode_stats_reply,
     encode_stats_request,
+    unpack_query,
 )
 from repro.service.server import RouteQueryServer, ServerConfig
 
@@ -320,6 +326,19 @@ def test_engine_planner_tier_matches_route(directed):
     assert engine.registry.counter("engine.planned").value == 40 * 1
 
 
+def test_engine_planner_wildcard_steps_survive_the_wire_form():
+    # answer() returns wire step bytes; resolve() must give back the
+    # planner's wildcard steps (digit None) from them.
+    engine = RouteQueryEngine(2, 4, use_wildcards=True)
+    wild = 0
+    for x, y in _pairs(2, 4, 60, seed=9):
+        expected = route(x, y, 2, directed=False, use_wildcards=True)
+        wild += any(step.digit is None for step in expected)
+        assert engine.resolve(x, y, False, want_path=True) == (
+            len(expected), expected)
+    assert wild > 0
+
+
 def test_engine_table_tier_matches_planner():
     table = CompiledRouteTable.compile(2, 5, workers=1)
     engine = RouteQueryEngine(2, 5, table=table)
@@ -528,6 +547,31 @@ def test_server_latency_histogram_populates():
         return True
 
     assert run(scenario())
+
+
+def test_server_latency_counts_the_time_spent_answering():
+    # Latency runs from admission until the reply is buffered, so an
+    # engine that takes 20 ms per answer must show it in every sample.
+    class SlowEngine(RouteQueryEngine):
+        def answer(self, *args):
+            time.sleep(0.02)
+            return super().answer(*args)
+
+    async def scenario():
+        async with RouteQueryServer(
+            SlowEngine(2, 4), ServerConfig(slo_ms=10.0)
+        ) as server:
+            async with RouteServiceClient(
+                "127.0.0.1", server.port, d=2
+            ) as client:
+                outcome = await client.query_many(_pairs(2, 4, 5, seed=3))
+            assert outcome.ok_count == 5
+            return server.snapshot()
+
+    snapshot = run(scenario())
+    latency = snapshot["histograms"]["server.latency_seconds"]
+    assert latency["count"] == 5.0 and latency["min"] >= 0.02
+    assert snapshot["counters"]["server.slo_violations"] == 5
 
 
 def test_blocking_helpers_roundtrip():
@@ -870,3 +914,299 @@ def test_fetch_stats_retries_through_connection_resets():
     finally:
         listener.close()
         thread.join(5)
+
+
+# ----------------------------------------------------------------------
+# Packed query path: reply flushing, byte identity, error parity
+# ----------------------------------------------------------------------
+
+
+async def _read_raw_frames(reader, count, timeout=10.0):
+    """Read ``count`` whole frames off ``reader`` as raw bytes."""
+    data = b""
+    frames = []
+    while len(frames) < count:
+        chunk = await asyncio.wait_for(reader.read(1 << 16), timeout)
+        assert chunk, f"server closed after {len(frames)} of {count} frames"
+        data += chunk
+        while len(data) >= 4:
+            (length,) = struct.unpack_from("!I", data)
+            if len(data) < 4 + length:
+                break
+            frames.append(data[:4 + length])
+            data = data[4 + length:]
+    return frames
+
+
+def _frame_of(raw):
+    (frame,) = FrameDecoder().feed(raw)
+    return frame
+
+
+def test_server_writes_every_reply_to_every_connection():
+    """Replies are buffered per connection; none may be stranded.
+
+    Three connections send interleaved pipelined bursts of table-tier
+    path queries with a STATS request and two bad queries inside each
+    burst.  The last thing sent is a partial group of distance-only
+    queries that only the micro-batcher's timer flushes; nothing
+    follows it on any connection.
+    """
+    d, k = 2, 6
+    table = CompiledRouteTable.compile(d, k, workers=1)
+    engine = RouteQueryEngine(d, k, table=table)
+    # Directed distance-only queries have no directed table: they park
+    # in the batcher, and a group of 3 < batch_size waits for the timer.
+    config = ServerConfig(batch_size=32, batch_deadline=0.05)
+    rng = random.Random(12)
+    sent = [[] for _ in range(3)]  # per connection: (rid, kind, query)
+
+    def burst(index, rid):
+        blob = bytearray()
+        for position in range(rng.randrange(20, 60)):
+            x, y = random_word(d, k, rng), random_word(d, k, rng)
+            blob += encode_query(rid, d, x, y)
+            sent[index].append((rid, "reply", (x, y, False, True)))
+            rid += 1
+            if position == 7:
+                blob += encode_stats_request(rid)
+                sent[index].append((rid, "stats", None))
+                rid += 1
+            if position == 11:
+                blob += encode_query(rid, d, (0, 2, 1, 0, 1, 0), x)
+                sent[index].append((rid, ErrorCode.MALFORMED, None))
+                rid += 1
+                blob += encode_query(rid, d, (0, 1), (1, 0))
+                sent[index].append((rid, ErrorCode.UNSUPPORTED, None))
+                rid += 1
+        return bytes(blob), rid
+
+    async def scenario():
+        async with RouteQueryServer(engine, config) as server:
+            streams = [await asyncio.open_connection("127.0.0.1", server.port)
+                       for _ in range(3)]
+            rid = 0
+            for _ in range(4):
+                blobs = []
+                for index in range(len(streams)):
+                    blob, rid = burst(index, rid)
+                    blobs.append(blob)
+                # Write every connection before yielding, so one dispatch
+                # pass holds queries from several connections; split
+                # mid-frame so frames straddle reads.
+                for half in (0, 1):
+                    for blob, (_, writer) in zip(blobs, streams):
+                        cut = len(blob) // 2 + 3
+                        writer.write(blob[cut:] if half else blob[:cut])
+                    await asyncio.sleep(0)
+            # Phase 1: every burst reply arrives with no batcher flush
+            # (which writes out every connection) to rescue it.
+            received = await asyncio.gather(*(
+                _read_raw_frames(reader, len(sent[index]))
+                for index, (reader, _) in enumerate(streams)))
+            destination = random_word(d, k, rng)
+            tail = bytearray()
+            for _ in range(3):
+                x = random_word(d, k, rng)
+                tail += encode_query(rid, d, x, destination, directed=True,
+                                     want_path=False)
+                sent[1].append((rid, "reply", (x, destination, True, False)))
+                rid += 1
+            streams[1][1].write(bytes(tail))
+            # Phase 2: the partial group, then silence on every connection.
+            received[1] += await _read_raw_frames(streams[1][0], 3)
+            for _, writer in streams:
+                writer.close()
+                await writer.wait_closed()
+        return received
+
+    received = run(scenario())
+    for index, raw_frames in enumerate(received):
+        by_id = {_frame_of(raw).request_id: raw for raw in raw_frames}
+        assert len(by_id) == len(raw_frames) == len(sent[index])
+        for rid, kind, query in sent[index]:
+            frame = _frame_of(by_id[rid])
+            if kind == "reply":
+                assert by_id[rid] == encode_reply(rid, *engine.resolve(*query))
+            elif kind == "stats":
+                assert frame.frame_type == FrameType.STATS_REPLY
+            else:
+                assert frame.frame_type == FrameType.ERROR
+                assert decode_error(frame)[0] == kind
+
+
+def test_a_client_that_never_reads_stalls_only_itself():
+    """A pipelining peer that never reads its replies must not stall others.
+
+    The silent client's server-side ``drain()`` never returns, as for a
+    peer whose receive window stays shut.  Once its burst has been
+    answered into its buffer, a second client's pipelined burst must
+    still be answered in full.
+    """
+    d, k = 2, 6
+    engine = RouteQueryEngine(d, k)  # planner tier: every query dispatched
+    pairs = _pairs(d, k, 200, seed=21)
+    blob = b"".join(encode_query(rid, d, x, y)
+                    for rid, (x, y) in enumerate(pairs))
+
+    async def scenario():
+        async with RouteQueryServer(engine) as server:
+            _, silent = await asyncio.open_connection("127.0.0.1", server.port)
+            while not server._connections:
+                await asyncio.sleep(0.001)
+            (stuck,) = server._connections
+            stuck.writer.drain = asyncio.get_running_loop().create_future
+            silent.write(blob)
+            replies = server.registry.counter("server.replies")
+
+            async def silent_burst_answered():
+                while replies.value < len(pairs):
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(silent_burst_answered(), 5.0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(blob)
+            try:
+                return await _read_raw_frames(reader, len(pairs), timeout=5.0)
+            finally:
+                writer.close()
+                silent.close()
+
+    received = run(scenario())
+    assert received == [encode_reply(rid, *engine.resolve(x, y, False, True))
+                        for rid, (x, y) in enumerate(pairs)]
+
+
+_PARITY_GRAPHS = ((2, 5), (3, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_engine(tier, d, k):
+    """One engine per (tier, graph), shared by every example."""
+    if tier in ("table", "cluster"):
+        table = CompiledRouteTable.compile(d, k, workers=1)
+        if tier == "cluster":
+            return ClusterQueryEngine(d, k, table)  # empty dead set
+        return RouteQueryEngine(d, k, table=table)
+    if tier == "shards":
+        return RouteQueryEngine(d, k, shards=ShardedRouteTable(
+            d, k, rows_per_shard=d, synchronous=True))
+    return RouteQueryEngine(d, k)  # planner (paths) and batch (distances)
+
+
+def _serve_once(engine, frames, count, batch_deadline=0.001):
+    """Serve raw ``frames`` on a fresh server; the ``count`` raw replies."""
+    async def scenario():
+        config = ServerConfig(batch_deadline=batch_deadline)
+        async with RouteQueryServer(engine, config) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(frames)
+            try:
+                return await _read_raw_frames(reader, count)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+    return run(scenario())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_served_replies_are_byte_identical_across_tiers(data):
+    tier = data.draw(st.sampled_from(
+        ("table", "shards", "planner", "batch", "cluster")))
+    d, k = data.draw(st.sampled_from(_PARITY_GRAPHS))
+    word = st.tuples(*[st.integers(0, d - 1)] * k)
+    source, destination = data.draw(word), data.draw(word)
+    directed = data.draw(st.booleans())
+    want_path = {"planner": True, "batch": False}.get(
+        tier, data.draw(st.booleans()))
+    engine = _parity_engine(tier, d, k)
+    rid = data.draw(st.integers(0, 0xFFFFFFFF))
+    (raw,) = _serve_once(engine, encode_query(
+        rid, d, source, destination, directed, want_path), 1)
+    assert raw == encode_reply(
+        rid, *engine.resolve(source, destination, directed, want_path))
+
+
+def _parent_error(server_dk, body):
+    """The (code, message) the tuple-decoding server answered ``body`` with."""
+    if len(body) < 3:
+        return ErrorCode.MALFORMED, "query body too short for its header"
+    d, k = body[1], body[2]
+    if d < 2 or k < 1:
+        return (ErrorCode.MALFORMED,
+                f"query carries invalid parameters (d={d}, k={k})")
+    if len(body) != 3 + 2 * k:
+        return (ErrorCode.MALFORMED,
+                f"query body is {len(body)} bytes, expected {3 + 2 * k} for k={k}")
+    for word in (tuple(body[3:3 + k]), tuple(body[3 + k:])):
+        if any(digit >= d for digit in word):
+            return (ErrorCode.MALFORMED,
+                    f"word {word!r} has digits outside 0..{d - 1}")
+    server_d, server_k = server_dk
+    if (d, k) != server_dk:
+        return (ErrorCode.UNSUPPORTED,
+                f"this server routes DG({server_d},{server_k}), not DG({d},{k})")
+    return None
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_bad_queries_get_the_same_error_as_before(data):
+    d, k = 2, 5
+    engine = _parity_engine("planner", d, k)
+    kind = data.draw(st.sampled_from(("digit", "truncated", "mismatch", "wide")))
+    if kind == "digit":
+        wire_d, wire_k = d, k
+    elif kind == "truncated":
+        wire_d, wire_k = d, data.draw(st.integers(1, 8))
+    else:
+        # "wide" exercises the d > 36 decode loop.
+        low = 37 if kind == "wide" else 2
+        wire_d = data.draw(st.integers(low, 255))
+        wire_k = data.draw(st.integers(1, 8))
+    words = data.draw(st.lists(st.integers(0, wire_d - 1),
+                               min_size=2 * wire_k, max_size=2 * wire_k))
+    if kind in ("digit", "wide"):
+        at = data.draw(st.integers(0, 2 * wire_k - 1))
+        words[at] = data.draw(st.integers(wire_d, 255))
+    flags = data.draw(st.integers(0, 3))
+    body = bytes([flags, wire_d, wire_k] + words)
+    if kind == "truncated":
+        body = body[:data.draw(st.integers(0, len(body) - 1))]
+    expected = _parent_error((d, k), body)
+    if expected is None:  # a well-formed query drawn by chance
+        return
+    (raw,) = _serve_once(engine, encode_frame(FrameType.QUERY, 5, body), 1)
+    frame = _frame_of(raw)
+    assert frame.frame_type == FrameType.ERROR
+    assert decode_error(frame) == expected
+
+
+@pytest.mark.parametrize("d,word", [(2, (0, 11, 1)), (8, (0, 24, 1)),
+                                    (16, (0, 33, 1)), (40, (39, 40))])
+def test_unpack_query_rejects_int_prefix_letters_and_wide_digits(d, word):
+    # 11/24/33 translate to "b"/"o"/"x": int() would read "0b1" in base
+    # 2 as a prefixed literal if those digits were mapped.
+    body = bytes([0, d, len(word)]) + bytes(word) + bytes(len(word))
+    with pytest.raises(ProtocolError, match="has digits outside"):
+        unpack_query(body)
+
+
+@given(st.integers(2, 255), st.lists(st.integers(0, 255), min_size=1,
+                                     max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_unpack_query_packs_like_packed_space(d, digits):
+    k = len(digits)
+    body = bytes([1, d, k]) + bytes(digits) + bytes(k)
+    if all(digit < d for digit in digits):
+        flags, got_d, got_k, source, destination, raw, _ = unpack_query(body)
+        assert (flags, got_d, got_k, destination) == (1, d, k, 0)
+        assert raw == bytes(digits)
+        assert source == PackedSpace(d, k).pack(tuple(digits))
+    else:
+        with pytest.raises(ProtocolError, match="has digits outside"):
+            unpack_query(body)
