@@ -20,7 +20,10 @@ performance layer of this PR buys on top:
 5. **Crossover sweep** — ``undirected_witness`` via the O(k²) matching
    method vs. the O(k) suffix tree across k; the last k where matching
    wins is the measured value behind ``distance.AUTO_METHOD_CUTOVER``
-   (previously a hard-coded guess).
+   (previously a hard-coded guess).  The same pairs are timed through
+   the bit-parallel kernel ``undirected_witness_packed`` (on the words'
+   byte form, as the service hands them over), which ``method="auto"``
+   runs at every k; it must beat both paper methods at every grid k.
 
 Results are appended to ``BENCH_routing_throughput.json`` at the repo
 root as one trajectory record per run (in the :mod:`repro.benchio`
@@ -44,6 +47,7 @@ from repro.core.distance import (
     AUTO_METHOD_CUTOVER,
     distances_from,
     undirected_witness_matching,
+    undirected_witness_packed,
     undirected_witness_suffix_tree,
 )
 from repro.core.packed import PackedSpace
@@ -187,19 +191,23 @@ def _measure_crossover(ks=(8, 10, 12, 14, 16, 20), pairs_per_k: int = 300,
     for k in ks:
         pairs = [(random_word(2, k, rng), random_word(2, k, rng))
                  for _ in range(pairs_per_k)]
+        byte_pairs = [(bytes(x), bytes(y)) for x, y in pairs]
         timings = {}
-        for label, fn in (("matching", undirected_witness_matching),
-                          ("suffix_tree", undirected_witness_suffix_tree)):
+        for label, fn, inputs in (
+                ("matching", undirected_witness_matching, pairs),
+                ("suffix_tree", undirected_witness_suffix_tree, pairs),
+                ("packed", undirected_witness_packed, byte_pairs)):
             best = float("inf")
             for _ in range(repetitions):
                 start = time.perf_counter()
-                for x, y in pairs:
+                for x, y in inputs:
                     fn(x, y)
                 best = min(best, time.perf_counter() - start)
             timings[label] = best / pairs_per_k
         ratio = timings["matching"] / timings["suffix_tree"]
         sweep.append({"k": k, "matching_us": timings["matching"] * 1e6,
                       "suffix_tree_us": timings["suffix_tree"] * 1e6,
+                      "packed_us": timings["packed"] * 1e6,
                       "ratio": ratio})
     for entry in sweep:  # first crossing: last k before matching loses
         if entry["ratio"] <= 1.0:
@@ -248,11 +256,12 @@ def test_routing_throughput(benchmark, report):
                ["graph", "uncached msg/s", "warm-cache msg/s", "sim x",
                 "plan x", "shift x", "bfs x"], rows, precision=1))
     cross = record["crossover"]
-    report("E17 — matching vs suffix-tree crossover (AUTO_METHOD_CUTOVER)\n"
+    report("E17 — witness cost per pair: matching vs suffix tree "
+           "(AUTO_METHOD_CUTOVER) and the packed kernel\n"
            + format_table(
-               ["k", "matching us", "suffix us", "ratio"],
-               [[r["k"], r["matching_us"], r["suffix_tree_us"], r["ratio"]]
-                for r in cross["sweep"]], precision=2)
+               ["k", "matching us", "suffix us", "ratio", "packed us"],
+               [[r["k"], r["matching_us"], r["suffix_tree_us"], r["ratio"],
+                 r["packed_us"]] for r in cross["sweep"]], precision=2)
            + f"\nmeasured cutover: k = {cross['measured_cutover']}"
            + f" (distance.AUTO_METHOD_CUTOVER = {AUTO_METHOD_CUTOVER})")
 
@@ -272,12 +281,20 @@ def test_routing_throughput(benchmark, report):
             f"warm-cache speedup regressed below 2x on DG({d},{k}): "
             f"{speedup:.2f}x"
         )
-    # The shipped cutover constant must sit inside the measured crossover
-    # band.  The ratio curve is nearly flat around 1.0 for mid-range k, so
-    # asserting on the exact crossing k would flake; instead require that
-    # neither side of the auto dispatch pays a large penalty: matching is
-    # within 25% of the suffix tree at the constant itself, and the suffix
-    # tree is within 25% at the next sweep step above it.
+    # The packed kernel is what method="auto" runs at every k, so it must
+    # beat both paper methods at every k of the sweep.
+    for r in cross["sweep"]:
+        assert r["packed_us"] < min(r["matching_us"], r["suffix_tree_us"]), (
+            f"packed kernel is not the cheapest witness at k={r['k']}: {r}"
+        )
+    # AUTO_METHOD_CUTOVER no longer selects method="auto"; it records
+    # where the paper's two witness algorithms cross, and must sit inside
+    # the measured crossover band.  The ratio curve is nearly flat around
+    # 1.0 for mid-range k, so asserting on the exact crossing k would
+    # flake; instead require that neither method pays a large penalty on
+    # its side of the constant: matching is within 25% of the suffix tree
+    # at the constant itself, and the suffix tree is within 25% at the
+    # next sweep step above it.
     by_k = {r["k"]: r["ratio"] for r in cross["sweep"]}
     assert AUTO_METHOD_CUTOVER in by_k, "cutover constant not in sweep grid"
     assert by_k[AUTO_METHOD_CUTOVER] <= 1.25, (

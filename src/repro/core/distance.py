@@ -14,20 +14,23 @@ Undirected graph (Theorem 2 / Corollary 4)
     ``D(X, Y) = min(k, min_{(a,b,s)} (2k − 2s − |a − b|))``
 
     — see DESIGN.md Section 2 for the derivation and the exhaustive BFS
-    cross-check.  Three implementations are provided: an O(k³)
+    cross-check.  Four implementations are provided: an O(k³)
     definition-level reference, the paper's O(k²) matching-function route
-    (Algorithm 2's core) and the O(k) suffix-tree route (Algorithm 4's
-    role).
+    (Algorithm 2's core), the O(k) suffix-tree route (Algorithm 4's
+    role) and a bit-parallel kernel that evaluates all 2k − 1 alignments
+    at once in one big integer (what ``method="auto"`` runs).
 
-All functions accept plain digit tuples (see :mod:`repro.core.word`); none
+All functions accept plain digit tuples (see :mod:`repro.core.word`); the
+packed kernel also takes the wire's one-byte-per-digit ``bytes``.  None
 of them need the alphabet size ``d`` — the distances depend only on the
 digit patterns of the two labels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import List, Literal, Optional, Sequence, Tuple
 
 from repro.core.matching import (
     common_substrings_brute,
@@ -39,7 +42,9 @@ from repro.core.word import WordTuple, overlap_length
 from repro.exceptions import InvalidWordError
 
 #: k at or below which the O(k^2) matching method beats the suffix tree's
-#: constant factor.  Measured (not guessed): the crossover sweep of
+#: constant factor.  It no longer selects ``method="auto"`` (the packed
+#: kernel beats both at every k); it records where the paper's two
+#: witness algorithms cross.  Measured (not guessed): the crossover sweep of
 #: benchmarks/bench_routing_throughput.py times undirected_witness via
 #: both methods on 300 random d=2 pairs per k (best of 3 repetitions).
 #: On this container's CPython, matching wins clearly through k=10
@@ -164,10 +169,102 @@ def undirected_witness_suffix_tree(x: WordTuple, y: WordTuple) -> UndirectedWitn
     return _pick_witness(best_l, best_r, k)
 
 
+@functools.lru_cache(maxsize=256)
+def _packed_layout(k: int) -> Tuple[int, int, int, int]:
+    """(alignment count, valid-byte mask, 0x7f byte mask, one-block mask)."""
+    blocks = 2 * k - 1
+    width = k + 1
+    valid = bytearray(blocks * width)
+    for t in range(blocks):
+        delta = t - (k - 1)
+        for p in range(max(0, -delta), min(k, k - delta)):
+            valid[t * width + p] = 0x80
+    return (
+        blocks,
+        int.from_bytes(bytes(valid), "little"),
+        int.from_bytes(b"\x7f" * len(valid), "little"),
+        (1 << (8 * width)) - 1,
+    )
+
+
+def undirected_witness_packed(x: Sequence[int], y: Sequence[int]) -> UndirectedWitness:
+    """Theorem 2 on every alignment at once, bit-parallel in one integer.
+
+    Equal to :func:`undirected_witness_matching` (same distance, case,
+    ``(i, j)`` and ``θ``) at a fraction of its cost.  ``x``/``y`` are
+    one-byte-per-digit ``bytes`` (the wire form) or digit sequences; a
+    word with a digit that does not fit a byte falls back to the matching
+    method.
+
+    Block ``t`` of the integer (``k + 1`` bytes, little-endian) compares
+    ``x[p]`` with ``y[p + δ]`` on the diagonal ``δ = t − (k − 1)``: the
+    ``x`` bytes repeat with period ``k + 1`` and the rotated ``y`` bytes
+    with period ``k``, so each block slides ``y`` one digit further.
+    Equal bytes are flagged with the exact zero-byte test on ``x ^ y``,
+    masked to the positions where both indices are in range; ``r &= r <<
+    8`` then keeps the ends of runs one digit longer per level.  At run
+    level ``s`` the highest set block gives the best l-case value
+    ``2k − 2s − δ`` and the lowest the best r-case value ``2k − 2s + δ``.
+    The saved levels recover Algorithm 2's tie-break (DESIGN.md Section
+    2): the lexicographically first anchor ``(i, j)``, ``θ = s``, l before
+    r.
+    """
+    k = _common_length(x, y)
+    if not isinstance(x, bytes) or not isinstance(y, bytes):
+        try:
+            x, y = bytes(x), bytes(y)
+        except (TypeError, ValueError):
+            return undirected_witness_matching(tuple(x), tuple(y))
+    blocks, valid, low7, block = _packed_layout(k)
+    # blocks + 2 = 2k + 1 copies of the k rotated y bytes cover the
+    # blocks · (k + 1) bytes of x's copies.
+    v = int.from_bytes((x + b"\0") * blocks, "little") ^ int.from_bytes(
+        (y[1:] + y[:1]) * (blocks + 2), "little"
+    )
+    run = valid & ~(((v & low7) + low7) | v)
+    bits = 8 * (k + 1)
+    levels: List[int] = []
+    best_l = best_r = k
+    s = 0
+    while run:
+        s += 1
+        levels.append(run)
+        # Block t holds δ = t − (k − 1), so 2k − 2s ∓ δ in terms of t:
+        value = 3 * k - 1 - 2 * s - (run.bit_length() - 1) // bits
+        if value < best_l:
+            best_l = value
+        value = k + 1 - 2 * s + ((run & -run).bit_length() - 1) // bits
+        if value < best_r:
+            best_r = value
+        run &= run << 8
+    if min(best_l, best_r) >= k:
+        return UndirectedWitness(k, "trivial")
+    case = "l" if best_l <= best_r else "r"
+    distance = best_l if case == "l" else best_r
+    anchor: Optional[Tuple[int, int, int]] = None
+    for s, level in enumerate(levels, 1):
+        delta = 2 * k - 2 * s - distance if case == "l" else distance - 2 * k + 2 * s
+        if not -k < delta < k:
+            continue
+        ends = (level >> (bits * (delta + k - 1))) & block
+        if not ends:
+            continue
+        # The first run end p on this diagonal gives the smallest i.
+        p = ((ends & -ends).bit_length() - 1) >> 3
+        if case == "l":
+            candidate = (p - s + 2, p + delta + 1, s)
+        else:
+            candidate = (p + 1, p - s + 2 + delta, s)
+        if anchor is None or candidate < anchor:
+            anchor = candidate
+    assert anchor is not None
+    return UndirectedWitness(distance, case, *anchor)
+
+
 def undirected_witness(x: WordTuple, y: WordTuple, method: Method = "auto") -> UndirectedWitness:
-    """Dispatch to the requested (or size-appropriate) witness computation."""
+    """Dispatch to the requested witness computation (``auto``: the packed kernel)."""
     if method == "auto":
-        method = "matching" if len(x) <= AUTO_METHOD_CUTOVER else "suffix_tree"
+        return undirected_witness_packed(x, y)
     if method == "matching":
         return undirected_witness_matching(x, y)
     if method == "suffix_tree":

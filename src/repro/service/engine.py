@@ -13,10 +13,14 @@ orientations and picks the cheapest tier that can answer:
    the same O(1) byte reads; cold destinations fall through to the
    planner while the shard compiles in the background under the byte
    budget.
-3. **Cache-backed planner** — otherwise :func:`repro.core.routing.route`
-   plans Algorithm 1/2 paths through the PR-1
-   :class:`~repro.core.routing.RouteCache`, so steady-state repeats are
-   amortised.
+3. **Cache-backed planner** — otherwise the paper's planner runs on
+   the words' digit bytes: Algorithm 1's overlap for directed queries,
+   the bit-parallel Theorem-2 kernel
+   (:func:`repro.core.distance.undirected_witness_packed`) for
+   undirected ones, with the reply's step bytes written straight from
+   the witness (:func:`repro.core.routing.witness_steps`).  Answers are
+   kept in a :class:`~repro.core.routing.RouteCache` keyed by the packed
+   pair and orientation, so steady-state repeats cost one lookup.
 4. **One-to-many batch** — distance-only queries that the server's
    micro-batcher coalesced by destination are answered in one sweep:
    undirected groups build the destination's suffix automaton once
@@ -28,8 +32,9 @@ Every tier answers through :meth:`RouteQueryEngine.answer` (and
 :meth:`~RouteQueryEngine.answer_distances` for coalesced groups) on
 packed words, returning the reply's step bytes ready for the wire: the
 table and shard tiers emit them straight from the action bytes they
-walk, the planner and batch tiers read digit tuples off the words' raw
-digit bytes.  :meth:`~RouteQueryEngine.resolve` and
+walk, the planner writes them from its witness and the destination's
+digit bytes, and the batch tier reads digit tuples off the words' raw
+bytes.  :meth:`~RouteQueryEngine.resolve` and
 :meth:`~RouteQueryEngine.resolve_distances` are the tuple-word views
 of the same code for library callers.
 
@@ -43,13 +48,18 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.batch import undirected_distances_many
+from repro.core.distance import undirected_witness_packed
 from repro.core.packed import PackedSpace
-from repro.core.routing import Path, RouteCache, route, step_from_action
+from repro.core.routing import Path, RouteCache, step_from_action, witness_steps
+
+# Not called here; kept importable because routebench/tracing.py wraps
+# ``engine.route`` by name.
+from repro.core.routing import route  # noqa: F401
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import WordTuple, validate_parameters
 from repro.exceptions import ServiceError
-from repro.network.message import decode_path, encode_path
+from repro.network.message import WILDCARD_BYTE, decode_path, encode_path
 from repro.service.metrics import MetricsRegistry
 
 #: A word's digits as the engine's packed entry points take them: the
@@ -62,7 +72,9 @@ class RouteQueryEngine:
 
     ``table`` may be attached at construction or later via
     :meth:`attach_table`; ``cache_size=0`` disables the planner cache
-    (every query re-plans — the bench's "uncached ``route()``" leg).
+    (every query re-plans — the bench's "uncached planner" leg).  The
+    cache holds ``(distance, step bytes)`` per ``(packed source, packed
+    destination, directed)``.
 
     >>> engine = RouteQueryEngine(2, 3)
     >>> distance, path = engine.resolve(
@@ -90,6 +102,8 @@ class RouteQueryEngine:
         self.table: Optional[CompiledRouteTable] = None
         self.shards: Optional[ShardedRouteTable] = None
         self.space = PackedSpace(d, k)
+        #: Digit byte of the planner's "arbitrarily chosen" steps.
+        self._arbitrary = WILDCARD_BYTE if use_wildcards else 0
         #: Action byte → its two-byte wire step (see ``encode_path``).
         self._step_bytes = tuple(
             encode_path([step_from_action(action, d)]) for action in range(2 * d)
@@ -183,15 +197,36 @@ class RouteQueryEngine:
                 return distance, (steps if want_path else b"")
             self._shard_fallbacks.value += 1
         self._planned.value += 1
-        path = route(
-            tuple(source_digits),
-            tuple(destination_digits),
-            self.d,
-            directed=directed,
-            use_wildcards=self.use_wildcards,
-            cache=self.cache,
-        )
-        return len(path), (encode_path(path) if want_path else b"")
+        cache = self.cache
+        key = (source, destination, directed)
+        answer = cache.lookup(key) if cache is not None else None
+        if answer is None:
+            answer = self._plan(
+                source, destination, source_digits, destination_digits, directed
+            )
+            if cache is not None:
+                cache.store(key, answer)
+        distance, steps = answer
+        return distance, (steps if want_path else b"")
+
+    def _plan(
+        self,
+        source: int,
+        destination: int,
+        source_digits: Digits,
+        destination_digits: Digits,
+        directed: bool,
+    ) -> Tuple[int, bytes]:
+        """The paper's shortest path for one pair: ``(distance, step bytes)``."""
+        y = bytes(destination_digits)
+        if directed:
+            # Algorithm 1: k − l left shifts spelling y_{l+1} .. y_k.
+            overlap = self.space.overlap_length(source, destination)
+            steps = bytearray(2 * (self.k - overlap))
+            steps[1::2] = y[overlap:]
+            return self.k - overlap, bytes(steps)
+        witness = undirected_witness_packed(source_digits, y)
+        return witness.distance, witness_steps(witness, y, self._arbitrary)
 
     def resolve(
         self,

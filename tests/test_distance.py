@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from repro.core.distance import (
     undirected_distance_brute,
     undirected_witness,
     undirected_witness_matching,
+    undirected_witness_packed,
     undirected_witness_suffix_tree,
 )
 from repro.exceptions import InvalidWordError
@@ -205,3 +209,90 @@ def test_distances_from_matches_pair_functions(d, k, directed):
         assert len(row) == d**k
         for y, value in row.items():
             assert value == fn(x, y)
+
+
+# ----------------------------------------------------------------------
+# The packed Theorem-2 kernel: Algorithm 2's witness, tie-break included
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (4, 3)],
+    ids=lambda v: str(v),
+)
+def test_packed_witness_equals_matching_exhaustive(d, k):
+    words = list(itertools.product(range(d), repeat=k))
+    for x in words:
+        bx = bytes(x)
+        for y in words:
+            assert undirected_witness_packed(bx, bytes(y)) == \
+                undirected_witness_matching(x, y), (x, y)
+
+
+def _run_heavy_pairs():
+    """Word pairs over d <= 36, k <= 40 with long common runs.
+
+    Uniform words share only short runs; these draws also give constant
+    and periodic words, and ``y = x[s:] + tail`` (a long shifted match).
+    """
+    def digits(d, k):
+        return st.lists(st.integers(0, d - 1), min_size=k, max_size=k).map(tuple)
+
+    def periodic(d, k):
+        return st.lists(st.integers(0, d - 1), min_size=1, max_size=4).map(
+            lambda period: tuple((period * k)[:k]))
+
+    def word(d, k):
+        return st.one_of(digits(d, k), periodic(d, k))
+
+    def pair(d, k):
+        shifted = st.tuples(word(d, k), st.integers(0, k), digits(d, k)).map(
+            lambda t: (t[0], (t[0][t[1]:] + t[2])[:k]))
+        return st.one_of(st.tuples(word(d, k), word(d, k)), shifted,
+                         shifted.map(lambda p: (p[1], p[0])))
+
+    return st.integers(2, 36).flatmap(
+        lambda d: st.integers(1, 40).flatmap(lambda k: pair(d, k)))
+
+
+@given(_run_heavy_pairs())
+@settings(max_examples=400, deadline=None)
+def test_packed_witness_equals_matching_on_long_runs(pair):
+    x, y = pair
+    assert undirected_witness_packed(bytes(x), bytes(y)) == \
+        undirected_witness_matching(x, y)
+
+
+def test_packed_witness_edge_cases():
+    assert undirected_witness_packed(b"\x00", b"\x00") == \
+        UndirectedWitness(0, "l", 1, 1, 1)
+    assert undirected_witness_packed(b"\x00", b"\x01") == UndirectedWitness(1, "trivial")
+    word = bytes([0, 1, 1, 0, 2])
+    assert undirected_witness_packed(word, word) == UndirectedWitness(0, "l", 1, 5, 5)
+    # No common digit: only the diameter path.
+    assert undirected_witness_packed(bytes(6), bytes([1, 2, 3, 1, 2, 3])) == \
+        UndirectedWitness(6, "trivial")
+    # Digit tuples are accepted and answer like their bytes.
+    x, y = (0, 1, 1, 0), (1, 1, 0, 0)
+    assert undirected_witness_packed(x, y) == \
+        undirected_witness_packed(bytes(x), bytes(y))
+    # d >= 256: the digits do not fit a byte, the matching method answers.
+    x, y = (300, 1, 257, 2), (1, 257, 2, 300)
+    assert undirected_witness_packed(x, y) == undirected_witness_matching(x, y)
+    assert undirected_witness(x, y) == undirected_witness_matching(x, y)
+
+
+@pytest.mark.parametrize(
+    "x,y", [(b"\x00\x01", b"\x00"), (b"", b""), ((0, 1), (1,)), ((), ())])
+def test_packed_witness_rejects_mismatched_or_empty_words(x, y):
+    with pytest.raises(InvalidWordError):
+        undirected_witness_packed(x, y)
+
+
+def test_auto_method_is_the_packed_kernel_at_every_k():
+    rng = random.Random(13)
+    for k in (3, 14, 15, 20, 33):
+        x = tuple(rng.randrange(2) for _ in range(k))
+        y = tuple(rng.randrange(2) for _ in range(k))
+        assert undirected_witness(x, y) == undirected_witness_packed(x, y) == \
+            undirected_witness_matching(x, y)

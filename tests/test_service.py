@@ -16,13 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import ClusterQueryEngine
-from repro.core.distance import directed_distance, undirected_distance
+from repro.core.distance import (
+    directed_distance,
+    undirected_distance,
+    undirected_witness_matching,
+)
 from repro.core.packed import PackedSpace
-from repro.core.routing import Direction, RoutingStep, route
+from repro.core.routing import (
+    Direction,
+    RoutingStep,
+    path_from_witness,
+    route,
+    shortest_path_unidirectional,
+)
 from repro.core.shards import ShardedRouteTable
 from repro.core.tables import CompiledRouteTable
 from repro.core.word import random_word
 from repro.exceptions import ProtocolError, ServiceError
+from repro.network.message import decode_path, encode_path
 from repro.service.client import (
     QueryOutcome,
     RouteReply,
@@ -1210,3 +1221,146 @@ def test_unpack_query_packs_like_packed_space(d, digits):
     else:
         with pytest.raises(ProtocolError, match="has digits outside"):
             unpack_query(body)
+
+
+# ----------------------------------------------------------------------
+# Packed planner tier
+# ----------------------------------------------------------------------
+
+
+def _algorithm_steps(x, y, directed, use_wildcards):
+    """The reply bytes of the paper's planner, built the tuple way."""
+    if directed:
+        return encode_path(shortest_path_unidirectional(x, y))
+    witness = undirected_witness_matching(x, y)
+    return encode_path(path_from_witness(witness, y, use_wildcards, filler=0))
+
+
+def _planner_pairs(d, k, count, seed):
+    if d ** k <= 64:
+        words = [PackedSpace(d, k).unpack(v) for v in range(d ** k)]
+        return [(x, y) for x in words for y in words]
+    return _pairs(d, k, count, seed)
+
+
+@pytest.mark.parametrize("d,k", [(2, 5), (3, 3), (2, 14), (2, 20), (4, 12)])
+@pytest.mark.parametrize("use_wildcards", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+def test_planner_steps_are_algorithm_paths(d, k, use_wildcards, directed):
+    engine = RouteQueryEngine(d, k, cache_size=0, use_wildcards=use_wildcards)
+    space = engine.space
+    for x, y in _planner_pairs(d, k, 150, seed=d * 100 + k):
+        distance, steps = engine.answer(space.pack(x), space.pack(y), bytes(x),
+                                        bytes(y), directed, True)
+        expected = _algorithm_steps(x, y, directed, use_wildcards)
+        assert steps == expected, (x, y)
+        assert distance == len(expected) // 2
+        assert engine.answer(space.pack(x), space.pack(y), bytes(x), bytes(y),
+                             directed, False) == (distance, b"")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_planner_cache_hit_returns_the_same_bytes(directed):
+    engine = RouteQueryEngine(2, 12)
+    space = engine.space
+    pairs = _pairs(2, 12, 40, seed=21)
+    first = [engine.answer(space.pack(x), space.pack(y), bytes(x), bytes(y),
+                           directed, True) for x, y in pairs]
+    counters = engine.stats()["counters"]
+    assert counters["engine.cache_hits"] == 0
+    assert counters["engine.cache_misses"] == 40
+    assert counters["engine.planned"] == 40
+    again = [engine.answer(space.pack(x), space.pack(y), x, y, directed, True)
+             for x, y in pairs]
+    assert again == first
+    counters = engine.stats()["counters"]
+    assert counters["engine.cache_hits"] == 40
+    assert counters["engine.cache_misses"] == 40
+    # A cache hit is still a planner answer (routebench's tier check).
+    assert counters["engine.planned"] == 80
+
+
+@pytest.mark.parametrize("use_wildcards", [False, True])
+def test_resolve_is_the_tuple_view_of_answer(use_wildcards):
+    engine = RouteQueryEngine(3, 7, use_wildcards=use_wildcards)
+    space = engine.space
+    for directed in (False, True):
+        for x, y in _pairs(3, 7, 60, seed=8):
+            distance, steps = engine.answer(space.pack(x), space.pack(y),
+                                            bytes(x), bytes(y), directed, True)
+            assert engine.resolve(x, y, directed, True) == \
+                (distance, decode_path(steps))
+            assert engine.resolve(x, y, directed, False) == (distance, None)
+
+
+# ----------------------------------------------------------------------
+# An engine fault still answers every query
+# ----------------------------------------------------------------------
+
+
+class _FaultyEngine(RouteQueryEngine):
+    """An engine whose planner and batch tiers raise ``RuntimeError``."""
+
+    def answer(self, *args):
+        raise RuntimeError("planner fault")
+
+    def answer_distances(self, *args):
+        raise RuntimeError("batch fault")
+
+
+def _internal_errors(frames, rids):
+    assert sorted(frame.request_id for frame in frames) == sorted(rids)
+    for frame in frames:
+        assert frame.frame_type == FrameType.ERROR
+        code, message = decode_error(frame)
+        assert code == ErrorCode.INTERNAL and "fault" in message
+
+
+def _serve_faulty(queries, batch_size=32):
+    """Send ``queries`` to a faulty engine; (replies, server counters).
+
+    Nothing follows the burst, so a partial group is answered only by
+    the batcher's timer.
+    """
+    async def scenario():
+        config = ServerConfig(batch_size=batch_size, batch_deadline=0.005)
+        async with RouteQueryServer(_FaultyEngine(2, 6), config) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"".join(queries))
+            try:
+                raws = await _read_raw_frames(reader, len(queries))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return [_frame_of(raw) for raw in raws], server.snapshot()["counters"]
+
+    return run(scenario())
+
+
+def test_engine_fault_answers_single_queries():
+    pairs = _pairs(2, 6, 10, seed=5)
+    frames, counters = _serve_faulty(
+        [encode_query(rid, 2, x, y) for rid, (x, y) in enumerate(pairs)])
+    _internal_errors(frames, range(10))
+    assert counters["server.dispatch_errors"] == 10
+    assert counters["server.errors.internal"] == 10
+
+
+def test_engine_fault_answers_size_flushed_groups():
+    destination = (1, 0, 1, 1, 0, 0)
+    sources = [x for x, _ in _pairs(2, 6, 16, seed=6)]
+    frames, counters = _serve_faulty(
+        [encode_query(rid, 2, x, destination, want_path=False)
+         for rid, x in enumerate(sources)], batch_size=8)
+    _internal_errors(frames, range(16))
+    assert counters["server.dispatch_errors"] == 2  # one per flushed group
+
+
+def test_engine_fault_answers_timer_flushed_groups():
+    pairs = _pairs(2, 6, 5, seed=7)
+    frames, counters = _serve_faulty(
+        [encode_query(rid, 2, x, y, want_path=False)
+         for rid, (x, y) in enumerate(pairs)])
+    _internal_errors(frames, range(5))
+    assert counters["server.errors.internal"] == 5
